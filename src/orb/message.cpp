@@ -40,6 +40,10 @@ Result<std::vector<ServiceContext>> read_service_contexts(CdrReader& r) {
   if (r.exhausted()) return contexts;  // frame from a pre-context encoder
   auto count = r.read_ulong();
   if (!count) return count.error();
+  // Each entry needs at least an id word and a length word: a larger count
+  // is corrupt, and must not size the reserve below.
+  if (*count > r.remaining() / 8)
+    return Error{Errc::corrupt_data, "service context count exceeds frame"};
   contexts.reserve(*count);
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto id = r.read_ulong();

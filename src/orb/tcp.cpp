@@ -46,43 +46,10 @@ bool write_exact(int fd, const std::uint8_t* buf, std::size_t n) {
   return true;
 }
 
-/// Max frame we accept: 64 MiB, far above any component package chunk.
-constexpr std::uint32_t kMaxFrame = 64u << 20;
-
-/// One record: u32 length (correlation id + frame), u64 correlation id,
-/// frame bytes. Correlation id 0 = one-way, no reply record follows.
-bool write_record(int fd, std::uint64_t correlation, BytesView frame) {
-  const std::uint32_t n = static_cast<std::uint32_t>(frame.size()) + 8;
-  std::uint8_t hdr[12] = {
-      static_cast<std::uint8_t>(n >> 24),
-      static_cast<std::uint8_t>(n >> 16),
-      static_cast<std::uint8_t>(n >> 8),
-      static_cast<std::uint8_t>(n),
-      static_cast<std::uint8_t>(correlation >> 56),
-      static_cast<std::uint8_t>(correlation >> 48),
-      static_cast<std::uint8_t>(correlation >> 40),
-      static_cast<std::uint8_t>(correlation >> 32),
-      static_cast<std::uint8_t>(correlation >> 24),
-      static_cast<std::uint8_t>(correlation >> 16),
-      static_cast<std::uint8_t>(correlation >> 8),
-      static_cast<std::uint8_t>(correlation),
-  };
-  return write_exact(fd, hdr, 12) &&
-         write_exact(fd, frame.data(), frame.size());
-}
-
-bool read_record(int fd, std::uint64_t& correlation, Bytes& frame) {
-  std::uint8_t hdr[12];
-  if (!read_exact(fd, hdr, 12)) return false;
-  const std::uint32_t n = (std::uint32_t{hdr[0]} << 24) |
-                          (std::uint32_t{hdr[1]} << 16) |
-                          (std::uint32_t{hdr[2]} << 8) | std::uint32_t{hdr[3]};
-  if (n < 8 || n - 8 > kMaxFrame) return false;
-  correlation = 0;
-  for (int i = 4; i < 12; ++i) correlation = (correlation << 8) | hdr[i];
-  frame.resize(n - 8);
-  return n == 8 || read_exact(fd, frame.data(), n - 8);
-}
+/// Frames past the read buffer grow this much beyond the bytes received.
+constexpr std::size_t kFrameStep = 64u << 10;
+/// A writer keeps at most this much batch capacity between drains.
+constexpr std::size_t kMaxIdleOutbox = 64u << 10;
 
 Result<int> connect_to(const std::string& host, std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -118,6 +85,86 @@ Result<std::pair<std::string, std::uint16_t>> parse_endpoint(
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// RecordReader / RecordWriter
+
+bool RecordReader::fill() {
+  if (begin_ != 0) {
+    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  for (;;) {
+    const ssize_t r = ::read(fd_, buf_.data() + end_, buf_.size() - end_);
+    if (r > 0) {
+      end_ += static_cast<std::size_t>(r);
+      return true;
+    }
+    if (r < 0 && errno == EINTR) continue;
+    return false;
+  }
+}
+
+bool RecordReader::next(std::uint64_t& correlation, Bytes& frame) {
+  while (end_ - begin_ < 12) {
+    if (!fill()) return false;
+  }
+  const std::uint8_t* hdr = buf_.data() + begin_;
+  std::uint32_t n = 0;
+  for (int i = 0; i < 4; ++i) n = (n << 8) | hdr[i];
+  if (n < 8 || n - 8 > kMaxFrame) return false;
+  correlation = 0;
+  for (int i = 4; i < 12; ++i) correlation = (correlation << 8) | hdr[i];
+  begin_ += 12;
+  const std::size_t body = n - 8;
+  if (body <= buf_.size()) {
+    while (end_ - begin_ < body) {
+      if (!fill()) return false;
+    }
+    frame.assign(buf_.begin() + begin_, buf_.begin() + begin_ + body);
+    begin_ += body;
+    return true;
+  }
+  // Larger than the buffer: take what it holds, then read the rest straight
+  // into the frame, growing it at most one step past the bytes received.
+  frame.assign(buf_.begin() + begin_, buf_.begin() + end_);
+  begin_ = end_ = 0;
+  while (frame.size() < body) {
+    const std::size_t got = frame.size();
+    frame.resize(std::min(body, got + kFrameStep));
+    if (!read_exact(fd_, frame.data() + got, frame.size() - got)) return false;
+  }
+  return true;
+}
+
+bool RecordWriter::write(int fd, std::uint64_t correlation, BytesView frame) {
+  std::unique_lock lock(mutex_);
+  const std::uint32_t n = static_cast<std::uint32_t>(frame.size()) + 8;
+  for (int shift = 24; shift >= 0; shift -= 8)
+    outbox_.push_back(static_cast<std::uint8_t>(n >> shift));
+  for (int shift = 56; shift >= 0; shift -= 8)
+    outbox_.push_back(static_cast<std::uint8_t>(correlation >> shift));
+  outbox_.insert(outbox_.end(), frame.begin(), frame.end());
+  if (writing_) return true;  // the current writer sends it with its batch
+  writing_ = true;
+  bool ok = true;
+  while (ok && !outbox_.empty()) {
+    sending_.swap(outbox_);
+    lock.unlock();
+    ok = write_exact(fd, sending_.data(), sending_.size());
+    sending_.clear();
+    // A large frame must not pin its buffer for the connection's lifetime.
+    if (sending_.capacity() > kMaxIdleOutbox) {
+      sending_ = Bytes{};
+      sending_.reserve(kBatchReserve);
+    }
+    lock.lock();
+  }
+  if (!ok) outbox_.clear();
+  writing_ = false;
+  return ok;
+}
 
 // ---------------------------------------------------------------------------
 // TcpServer
@@ -222,9 +269,10 @@ void TcpServer::accept_loop() {
 }
 
 void TcpServer::read_loop(std::shared_ptr<Connection> conn) {
+  RecordReader reader(conn->fd);
   std::uint64_t correlation = 0;
   Bytes frame;
-  while (running_.load() && read_record(conn->fd, correlation, frame)) {
+  while (running_.load() && reader.next(correlation, frame)) {
     {
       std::lock_guard lock(queue_mutex_);
       queue_.push_back(Job{conn, correlation, std::move(frame)});
@@ -232,7 +280,9 @@ void TcpServer::read_loop(std::shared_ptr<Connection> conn) {
     queue_cv_.notify_one();
     frame = Bytes{};
   }
+  // EOF, an i/o error or a bad length prefix: close this connection only.
   conn->open.store(false);
+  ::shutdown(conn->fd, SHUT_RDWR);
 }
 
 void TcpServer::dispatch_loop() {
@@ -249,9 +299,8 @@ void TcpServer::dispatch_loop() {
     Bytes reply = handler_(job.frame);
     // Correlation 0 marks a one-way record: the client expects no reply.
     if (job.correlation == 0) continue;
-    std::lock_guard wl(job.conn->write_mutex);
     if (!job.conn->open.load()) continue;
-    if (!write_record(job.conn->fd, job.correlation, reply)) {
+    if (!job.conn->writer.write(job.conn->fd, job.correlation, reply)) {
       job.conn->open.store(false);
       ::shutdown(job.conn->fd, SHUT_RDWR);
     }
@@ -329,9 +378,10 @@ Result<std::shared_ptr<TcpTransport::Connection>> TcpTransport::connection_for(
 }
 
 void TcpTransport::reader_loop(std::shared_ptr<Connection> conn) {
+  RecordReader reader(conn->fd);
   std::uint64_t correlation = 0;
   Bytes frame;
-  while (read_record(conn->fd, correlation, frame)) {
+  while (reader.next(correlation, frame)) {
     ReplyCallback cb;
     {
       std::lock_guard lock(conn->pending_mutex);
@@ -377,14 +427,10 @@ void TcpTransport::submit(const std::string& endpoint, BytesView frame,
     if (mine) mine(Error{Errc::unreachable, "connection closed"});
     return;
   }
-  bool wrote;
-  {
-    std::lock_guard lock((*conn)->write_mutex);
-    wrote = write_record((*conn)->fd, correlation, frame);
-  }
   // On write failure the teardown path fails every pending callback --
   // including the one just registered -- exactly once.
-  if (!wrote) fail_connection(*conn, "i/o failed on " + endpoint);
+  if (!(*conn)->writer.write((*conn)->fd, correlation, frame))
+    fail_connection(*conn, "i/o failed on " + endpoint);
 }
 
 Result<Bytes> TcpTransport::roundtrip(const std::string& endpoint,
@@ -413,14 +459,9 @@ Result<void> TcpTransport::send_oneway(const std::string& endpoint,
                                        BytesView frame) {
   auto conn = connection_for(endpoint);
   if (!conn) return conn.error();
-  bool wrote;
-  {
-    std::lock_guard lock((*conn)->write_mutex);
-    // Correlation 0: the server dispatches without replying, and nothing
-    // blocks behind the send -- a true one-way.
-    wrote = write_record((*conn)->fd, 0, frame);
-  }
-  if (!wrote) {
+  // Correlation 0: the server dispatches without replying, and nothing
+  // blocks behind the send -- a true one-way.
+  if (!(*conn)->writer.write((*conn)->fd, 0, frame)) {
     fail_connection(*conn, "i/o failed on " + endpoint);
     return Error{Errc::unreachable, "i/o failed on " + endpoint};
   }

@@ -9,13 +9,22 @@
 // with replies correlated as they arrive, in any order. Correlation id 0
 // marks a one-way record: the server does not reply to it.
 //
+// Both ends share one read path and one write path. A RecordReader owns a
+// small per-connection buffer: one read() fills it and next() hands out
+// every complete record it holds before reading again; a body larger than
+// the buffer goes straight into its frame, which grows only as its bytes
+// arrive, so a length prefix alone never allocates. A RecordWriter
+// coalesces: a thread appends its encoded record to the connection's
+// outbox and, unless another thread is already writing, becomes the writer
+// and sends the whole outbox with one send() per batch until it is empty.
+//
 // The server accepts connections on 127.0.0.1 (tests/benches run on one
 // host); a per-connection reader thread decodes records and hands them to a
 // small shared worker pool, so pipelined requests on one connection execute
-// *concurrently*, and replies are written under a per-connection write lock
-// as each completes. The client keeps one pooled connection per endpoint
-// with its own reader thread demultiplexing replies to the pending
-// callbacks; roundtrip() is submit() + wait.
+// *concurrently*, and their replies coalesce in the connection's writer as
+// each completes. The client keeps one pooled connection per endpoint with
+// its own reader thread demultiplexing replies to the pending callbacks;
+// roundtrip() is submit() + wait.
 #pragma once
 
 #include <atomic>
@@ -32,6 +41,59 @@
 #include "orb/transport.hpp"
 
 namespace clc::orb {
+
+/// Reads [u32 len][u64 correlation][frame] records from one socket.
+class RecordReader {
+ public:
+  /// Largest frame accepted: 64 MiB, far above any component package chunk.
+  static constexpr std::uint32_t kMaxFrame = 64u << 20;
+  /// Bodies up to this size are parsed in place; larger ones are read
+  /// straight into their frame.
+  static constexpr std::size_t kBufferSize = 16u << 10;
+
+  explicit RecordReader(int fd) : fd_(fd), buf_(kBufferSize) {}
+
+  /// The next record, from the buffer if it holds a complete one, else
+  /// after reading more. False on EOF, on an i/o error and on a length
+  /// prefix below 8 or above kMaxFrame + 8.
+  bool next(std::uint64_t& correlation, Bytes& frame);
+
+ private:
+  /// Compact the buffer and read() once into its free space.
+  bool fill();
+
+  int fd_;
+  Bytes buf_;
+  std::size_t begin_ = 0;  // first unconsumed byte
+  std::size_t end_ = 0;    // one past the last byte read
+};
+
+/// Coalescing record writer for one socket, shared by every thread that
+/// sends on it.
+class RecordWriter {
+ public:
+  /// Batch capacity reserved up front: small records never allocate in the
+  /// writer, however they happen to coalesce.
+  static constexpr std::size_t kBatchReserve = 16u << 10;
+
+  RecordWriter() {
+    outbox_.reserve(kBatchReserve);
+    sending_.reserve(kBatchReserve);
+  }
+
+  /// Queue one record. If no other thread is writing, send the outbox --
+  /// this record and whatever others append meanwhile -- until it is empty.
+  /// False only when this thread was the writer and a send() failed; the
+  /// queued records are then dropped and the caller tears the connection
+  /// down.
+  bool write(int fd, std::uint64_t correlation, BytesView frame);
+
+ private:
+  std::mutex mutex_;
+  Bytes outbox_;          // under mutex_
+  bool writing_ = false;  // under mutex_: a thread is draining the outbox
+  Bytes sending_;         // the writer's batch in flight, owned by the writer
+};
 
 /// Listening side. Owns the accept thread, per-connection reader threads
 /// and the shared dispatch worker pool.
@@ -56,12 +118,12 @@ class TcpServer {
   }
 
  private:
-  /// One accepted connection: replies from concurrent dispatches serialize
-  /// on `write_mutex`; `open` flips once on teardown so late completions
-  /// drop their reply instead of writing to a recycled fd.
+  /// One accepted connection: replies from concurrent dispatches coalesce
+  /// in `writer`; `open` flips once on teardown so late completions drop
+  /// their reply instead of writing to a dead socket.
   struct Connection {
     int fd = -1;
-    std::mutex write_mutex;
+    RecordWriter writer;
     std::atomic<bool> open{true};
   };
   struct Job {
@@ -112,7 +174,7 @@ class TcpTransport final : public Transport {
   struct Connection {
     std::string endpoint;
     int fd = -1;
-    std::mutex write_mutex;
+    RecordWriter writer;
     std::mutex pending_mutex;
     std::map<std::uint64_t, ReplyCallback> pending;
     std::uint64_t next_correlation = 1;  // under pending_mutex

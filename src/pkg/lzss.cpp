@@ -106,6 +106,10 @@ Result<Bytes> lzss_decompress(BytesView in) {
   const std::uint32_t n = std::uint32_t{in[0]} | (std::uint32_t{in[1]} << 8) |
                           (std::uint32_t{in[2]} << 16) |
                           (std::uint32_t{in[3]} << 24);
+  // A 3-byte match token expands to at most kMaxMatch bytes, so a header
+  // claiming more than that ratio of the body is corrupt.
+  if (n > (kMaxMatch / 3) * (in.size() - 4))
+    return Error{Errc::corrupt_data, "lzss: size header exceeds body"};
   Bytes out;
   out.reserve(n);
   std::size_t pos = 4;

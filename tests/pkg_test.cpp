@@ -111,6 +111,14 @@ TEST(Lzss, IncompressibleGrowthBounded) {
   EXPECT_EQ(*d, input);
 }
 
+TEST(Lzss, SizeHeaderBeyondMaxExpansionIsCorrupt) {
+  // A 1-byte body claiming ~4 GiB: rejected before any output is reserved.
+  const Bytes stream = {0xff, 0xff, 0xff, 0xff, 0x00};
+  auto d = lzss_decompress(stream);
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.error().code, Errc::corrupt_data);
+}
+
 class LzssRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LzssRoundTrip, RandomStructuredBuffers) {
