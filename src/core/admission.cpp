@@ -166,19 +166,6 @@ Duration AdmissionController::learned_cost(const std::string& op_key) const {
   return static_cast<Duration>(it->second.ewma_us);
 }
 
-std::size_t AdmissionController::learned_op_count() const {
-  std::lock_guard lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& [_, c] : op_costs_)
-    if (c.samples >= config_.learned_cost_min_samples) ++n;
-  return n;
-}
-
-void AdmissionController::set_enabled(bool enabled) {
-  std::lock_guard lock(mutex_);
-  config_.enabled = enabled;
-}
-
 bool AdmissionController::enabled() const {
   std::lock_guard lock(mutex_);
   return config_.enabled;

@@ -111,10 +111,6 @@ class AdmissionController {
   /// EWMA cost for an operation, or 0 (meaning "use the static default")
   /// until learned_cost_min_samples observations have arrived.
   [[nodiscard]] Duration learned_cost(const std::string& op_key) const;
-  /// Number of operations with a warmed (trusted) learned cost.
-  [[nodiscard]] std::size_t learned_op_count() const;
-
-  void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const;
   /// Replace the whole config (tests/benches); resets the model state.
   void configure(AdmissionConfig config);

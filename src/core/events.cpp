@@ -30,18 +30,6 @@ Result<void> EventChannelHub::subscribe_remote(const std::string& event_type,
   return {};
 }
 
-void EventChannelHub::unsubscribe_remote(const std::string& event_type,
-                                         const orb::ObjectRef& consumer) {
-  auto it = channels_.find(event_type);
-  if (it == channels_.end()) return;
-  auto& remotes = it->second.remotes;
-  remotes.erase(std::remove_if(remotes.begin(), remotes.end(),
-                               [&](const RemoteEntry& e) {
-                                 return e.ref == consumer;
-                               }),
-                remotes.end());
-}
-
 void EventChannelHub::publish(const std::string& event_type,
                               const orb::Value& event) {
   ++published_;

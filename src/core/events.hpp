@@ -33,8 +33,6 @@ class EventChannelHub {
   /// Remote consumer: must implement clc::EventConsumer.
   Result<void> subscribe_remote(const std::string& event_type,
                                 const orb::ObjectRef& consumer);
-  void unsubscribe_remote(const std::string& event_type,
-                          const orb::ObjectRef& consumer);
 
   /// Push one event to every subscriber. Remote delivery is best-effort
   /// oneway; unreachable consumers are dropped from the channel after

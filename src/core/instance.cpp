@@ -30,8 +30,4 @@ bool ExecutorRegistry::has(const std::string& entry_symbol) const {
   return symbols_.count(entry_symbol) != 0;
 }
 
-void ExecutorRegistry::unregister_symbol(const std::string& entry_symbol) {
-  symbols_.erase(entry_symbol);
-}
-
 }  // namespace clc::core

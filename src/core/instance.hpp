@@ -77,7 +77,6 @@ class ExecutorRegistry {
   [[nodiscard]] Result<InstanceFactory> resolve(
       const std::string& entry_symbol) const;
   [[nodiscard]] bool has(const std::string& entry_symbol) const;
-  void unregister_symbol(const std::string& entry_symbol);
 
  private:
   std::map<std::string, InstanceFactory> symbols_;

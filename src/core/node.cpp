@@ -108,25 +108,14 @@ class PartitionedTransport final : public orb::Transport {
         inner_(std::move(inner)),
         partitioned_(&metrics->counter("orb.partitioned")) {}
 
-  Result<Bytes> roundtrip(const std::string& endpoint,
-                          BytesView frame) override {
-    if (auto blocked = gate(endpoint)) return *blocked;
-    return inner_->roundtrip(endpoint, frame);
-  }
-
-  Result<void> send_oneway(const std::string& endpoint,
-                           BytesView frame) override {
-    if (auto blocked = gate(endpoint)) return *blocked;
-    return inner_->send_oneway(endpoint, frame);
-  }
-
   void submit(const std::string& endpoint, BytesView frame,
-              orb::ReplyCallback cb) override {
+              orb::ReplyCallback cb,
+              orb::Delivery delivery = orb::Delivery::request_reply) override {
     if (auto blocked = gate(endpoint)) {
       cb(*blocked);
       return;
     }
-    inner_->submit(endpoint, frame, std::move(cb));
+    inner_->submit(endpoint, frame, std::move(cb), delivery);
   }
 
  private:
@@ -635,29 +624,6 @@ Result<QueryResult> Node::query_network_impl(const ComponentQuery& q) {
     metrics_.counter("node.query_retries").inc();
     network_.advance(orb::backoff_delay(policies.retry, attempt, retry_rng_));
   }
-}
-
-Result<ZoneResolveResult> Node::resolve_zone(const std::string& pattern) {
-  if (!zone_router_)
-    return Error{Errc::unsupported, "node is not part of a zoned deployment"};
-  obs::ScopedSpan span(tracer_, "resolve_zone:" + pattern);
-  std::optional<ZoneResolveResult> result;
-  zone_router_->resolve(pattern, network_.now(), [&result](ZoneResolveResult r) {
-    result = std::move(r);
-  });
-  // Loopback delivery is synchronous; anything still pending (an owner a
-  // ring hop away, a glob fan-out) completes within the router's timeout.
-  const TimePoint deadline =
-      network_.now() + 3 * cohesion_.config().query_timeout;
-  while (!result.has_value() && network_.now() < deadline) {
-    network_.advance(cohesion_.config().heartbeat / 2);
-  }
-  if (!result.has_value()) {
-    span.fail();
-    return Error{Errc::timeout, "zone resolve never completed"};
-  }
-  if (result->degraded) metrics_.counter("node.degraded_zone_resolves").inc();
-  return std::move(*result);
 }
 
 Result<std::string> Node::remote_idl(NodeId peer, const std::string& component,

@@ -177,12 +177,6 @@ class Node {
   /// erroring (minority-side availability, DESIGN.md §13).
   Result<QueryResult> query_network_detailed(const ComponentQuery& q);
 
-  /// Resolve `pattern` through the zone-sharded registry (zoned
-  /// deployments only): exact names take the locality-aware shard route,
-  /// globs fan out through the super root. Drives the network until the
-  /// answer (or its timeout) arrives.
-  Result<ZoneResolveResult> resolve_zone(const std::string& pattern);
-
   /// Fetch a package from a peer's repository into ours.
   Result<void> fetch_component(NodeId from, const std::string& component,
                                const Version& version);

@@ -70,24 +70,6 @@ std::vector<ConnectionRecord> ComponentRegistry::assembly() const {
   return out;
 }
 
-std::vector<QueryHit> ComponentRegistry::match(const ComponentQuery& q) const {
-  std::vector<QueryHit> hits;
-  const RegistryDigest d = digest();
-  for (const auto& c : d.components) {
-    if (!q.matches(c)) continue;
-    QueryHit h;
-    h.node = node_;
-    h.component = c.name;
-    h.version = c.version;
-    h.mobile = c.mobile;
-    h.cost_per_use = c.cost_per_use;
-    h.node_cpu_load = d.cpu_load;
-    h.node_device = d.device;
-    hits.push_back(std::move(h));
-  }
-  return hits;
-}
-
 RegistryDigest ComponentRegistry::digest() const {
   RegistryDigest d;
   d.node = node_;

@@ -62,10 +62,6 @@ class ComponentRegistry {
       const std::string& component) const;
   [[nodiscard]] std::vector<ConnectionRecord> assembly() const;
 
-  /// Local query over installed components (the per-node leg of a
-  /// distributed query).
-  [[nodiscard]] std::vector<QueryHit> match(const ComponentQuery& q) const;
-
   /// The digest advertised in heartbeats (installed components + load).
   [[nodiscard]] RegistryDigest digest() const;
 

@@ -108,22 +108,6 @@ std::uint32_t ZoneRouter::owner_zone(const std::string& name,
   return ring_.owner_of(name);
 }
 
-std::size_t ZoneRouter::shard_entries() const {
-  std::size_t n = 0;
-  for (const auto& [name, entries] : store_) n += entries.size();
-  return n;
-}
-
-std::vector<ZoneRouter::ZonePeer> ZoneRouter::zone_table(TimePoint now) const {
-  std::vector<ZonePeer> out;
-  out.push_back({cfg_.zone, root_of(cfg_.zone), cohesion_.epoch(), false});
-  for (const auto& [z, p] : zones_)
-    out.push_back({z, p.root, p.epoch, zone_suspect(p, now)});
-  std::sort(out.begin(), out.end(),
-            [](const ZonePeer& a, const ZonePeer& b) { return a.zone < b.zone; });
-  return out;
-}
-
 std::pair<std::uint32_t, NodeId> ZoneRouter::super_root(TimePoint now) const {
   const auto az = alive_zones(now);
   const std::uint32_t z = *az.begin();  // lowest alive zone id

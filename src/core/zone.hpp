@@ -119,13 +119,6 @@ class ZoneRouter {
   [[nodiscard]] std::uint64_t zone_epoch() const noexcept {
     return cohesion_.epoch();
   }
-  struct ZonePeer {
-    std::uint32_t zone = 0;
-    NodeId root;
-    std::uint64_t epoch = 1;
-    bool suspect = false;
-  };
-  [[nodiscard]] std::vector<ZonePeer> zone_table(TimePoint now) const;
   /// (zone, root) of the current super root (roots-of-roots rendezvous).
   [[nodiscard]] std::pair<std::uint32_t, NodeId> super_root(TimePoint now) const;
   [[nodiscard]] bool is_super_root(TimePoint now) const {
@@ -134,8 +127,6 @@ class ZoneRouter {
   /// Which zone owns `name` on the current ring (0 = empty ring).
   [[nodiscard]] std::uint32_t owner_zone(const std::string& name,
                                          TimePoint now) const;
-  /// Shard-store size at this node (nonzero only at zone roots).
-  [[nodiscard]] std::size_t shard_entries() const;
 
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return *metrics_; }
 

@@ -30,41 +30,32 @@ Result<Bytes> FaultyTransport::apply(BytesView frame, bool request_direction,
   return out;
 }
 
-Result<Bytes> FaultyTransport::roundtrip(const std::string& endpoint,
-                                         BytesView frame) {
-  if (!injector_.active()) return inner_->roundtrip(endpoint, frame);
-
-  // Request crossing.
-  bool duplicate = false;
-  auto request = apply(frame, /*request_direction=*/true, &duplicate);
-  if (!request) return request.error();
-  if (duplicate) (void)inner_->roundtrip(endpoint, *request);
-  auto reply = inner_->roundtrip(endpoint, *request);
-  if (!reply) return reply.error();
-
-  // Reply crossing: its own message, its own decision.
-  auto faulted = apply(*reply, /*request_direction=*/false, nullptr);
-  if (!faulted) return faulted.error();
-  return faulted;
-}
-
 void FaultyTransport::submit(const std::string& endpoint, BytesView frame,
-                             orb::ReplyCallback cb) {
+                             orb::ReplyCallback cb, orb::Delivery delivery) {
   if (!injector_.active()) {
-    inner_->submit(endpoint, frame, std::move(cb));
+    inner_->submit(endpoint, frame, std::move(cb), delivery);
     return;
   }
 
   // Request crossing, decided now so a seeded plan consumes decisions in
   // submission order regardless of how replies interleave.
+  const bool oneway = delivery == orb::Delivery::oneway;
   bool duplicate = false;
   auto request = apply(frame, /*request_direction=*/true, &duplicate);
   if (!request) {
-    cb(request.error());
+    // One-way drops are silent, as on a real network; resets still surface.
+    if (oneway && request.error().code == Errc::timeout)
+      cb(Bytes{});
+    else
+      cb(request.error());
     return;
   }
   if (duplicate)
-    inner_->submit(endpoint, *request, [](Result<Bytes>) {});
+    inner_->submit(endpoint, *request, [](Result<Bytes>) {}, delivery);
+  if (oneway) {
+    inner_->submit(endpoint, *request, std::move(cb), delivery);
+    return;
+  }
   inner_->submit(endpoint, *request, [this, cb = std::move(cb)](
                                          Result<Bytes> reply) {
     if (!reply) {
@@ -74,21 +65,6 @@ void FaultyTransport::submit(const std::string& endpoint, BytesView frame,
     // Reply crossing: its own message, its own decision.
     cb(apply(*reply, /*request_direction=*/false, nullptr));
   });
-}
-
-Result<void> FaultyTransport::send_oneway(const std::string& endpoint,
-                                          BytesView frame) {
-  if (!injector_.active()) return inner_->send_oneway(endpoint, frame);
-
-  bool duplicate = false;
-  auto request = apply(frame, /*request_direction=*/true, &duplicate);
-  if (!request) {
-    // One-way drops are silent, as on a real network; resets still surface.
-    if (request.error().code == Errc::timeout) return {};
-    return request.error();
-  }
-  if (duplicate) (void)inner_->send_oneway(endpoint, *request);
-  return inner_->send_oneway(endpoint, *request);
 }
 
 }  // namespace clc::fault

@@ -2,12 +2,15 @@
 //
 // Wraps any real transport (loopback or TCP) and subjects every message --
 // request and reply are separate messages, mirroring the two network
-// crossings of a roundtrip -- to the armed fault plan: drops surface as
-// Errc::timeout (the caller cannot tell a lost request from a lost reply),
-// resets as Errc::unreachable, corruption flips frame bytes before the
-// inner transport sees them, duplication replays the request against the
-// server a second time (exercising server idempotency), and delays run
-// through an injectable sleep function so simulated time stays virtual.
+// crossings of a request/reply exchange -- to the armed fault plan: drops
+// surface as Errc::timeout (the caller cannot tell a lost request from a
+// lost reply) except on a one-way, which is lost silently as on a real
+// network; resets surface as Errc::unreachable, corruption flips frame
+// bytes before the inner transport sees them, duplication replays the
+// request against the server a second time (exercising server
+// idempotency), and delays run through an injectable sleep function so
+// simulated time stays virtual. Like every transport it overrides only
+// submit(), so each rule is written once for both kinds of delivery.
 //
 // With no plan armed the decorator is a single relaxed atomic load plus a
 // virtual call -- cheap enough to leave in place permanently.
@@ -36,15 +39,13 @@ class FaultyTransport final : public orb::Transport {
     sleep_fn_ = std::move(fn);
   }
 
-  Result<Bytes> roundtrip(const std::string& endpoint,
-                          BytesView frame) override;
-  Result<void> send_oneway(const std::string& endpoint,
-                           BytesView frame) override;
-  /// Async path: request-direction faults apply before the inner submit
-  /// (inline, on the caller thread -- deterministic under seeded plans),
-  /// reply-direction faults inside the completion callback.
+  /// Request-direction faults apply before the inner submit (inline, on
+  /// the caller thread -- deterministic under seeded plans), reply-direction
+  /// faults inside the completion callback. A one-way has no reply
+  /// crossing, and a dropped one-way completes ok.
   void submit(const std::string& endpoint, BytesView frame,
-              orb::ReplyCallback cb) override;
+              orb::ReplyCallback cb,
+              orb::Delivery delivery = orb::Delivery::request_reply) override;
 
  private:
   void sleep(Duration d);

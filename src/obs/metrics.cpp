@@ -142,20 +142,6 @@ std::size_t MetricsRegistry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-std::string MetricsRegistry::to_text() const {
-  std::lock_guard lock(mutex_);
-  std::ostringstream out;
-  for (const auto& [name, c] : counters_) out << name << " " << c->value() << "\n";
-  for (const auto& [name, g] : gauges_) out << name << " " << g->value() << "\n";
-  for (const auto& [name, h] : histograms_) {
-    out << name << " count=" << h->count() << " sum=" << h->sum()
-        << " min=" << h->min() << " max=" << h->max() << " mean=" << h->mean()
-        << " p50=" << h->quantile(0.5) << " p99=" << h->quantile(0.99)
-        << " p999=" << h->quantile(0.999) << "\n";
-  }
-  return out.str();
-}
-
 std::string MetricsRegistry::to_json() const {
   std::lock_guard lock(mutex_);
   std::ostringstream out;

@@ -4,7 +4,7 @@
 // cohesion, sim network, resource manager) now publishes named counters,
 // gauges and fixed-bucket histograms through one MetricsRegistry, so the
 // benches and experiments read every number from one place and can emit it
-// machine-readably (to_json) next to the human tables (to_text).
+// machine-readably (to_json).
 //
 // Design constraints:
 //  * Global-free: each Node/Orb owns (or is handed) a registry; nothing is
@@ -120,8 +120,6 @@ class MetricsRegistry {
   /// Registrations and cached references stay valid.
   void reset(std::string_view prefix = {});
 
-  /// Human-readable snapshot, one `name value` line per metric.
-  [[nodiscard]] std::string to_text() const;
   /// Machine-readable snapshot: {"counters":{...},"gauges":{...},
   /// "histograms":{...}}.
   [[nodiscard]] std::string to_json() const;

@@ -96,13 +96,11 @@ struct AsyncCall : std::enable_shared_from_this<AsyncCall> {
       return;
     }
     if (op.oneway) {
-      if (auto r = (*transport)->send_oneway(endpoint, frame); !r.ok()) {
-        handle_failure(r.error());
-      } else {
-        if (breaker != nullptr) breaker->on_success();
-        orb->note_endpoint_success(endpoint);
-        finish(InvokeOutcome{});
-      }
+      // A one-way completes before submit() returns, so the callback need
+      // not keep this call alive -- and a raw pointer does not allocate.
+      (*transport)->submit(
+          endpoint, frame, [this](Result<Bytes> r) { on_reply(std::move(r)); },
+          Delivery::oneway);
       return;
     }
     auto self = shared_from_this();
@@ -116,7 +114,8 @@ struct AsyncCall : std::enable_shared_from_this<AsyncCall> {
       handle_failure(r.error());
       return;
     }
-    auto out = decode_frame(*r);
+    auto out = op.oneway ? Result<InvokeOutcome>(InvokeOutcome{})
+                         : decode_frame(*r);
     if (out.ok()) {
       if (breaker != nullptr) breaker->on_success();
       orb->note_endpoint_success(endpoint);
@@ -866,18 +865,6 @@ std::uint32_t Orb::endpoint_credit_window(const std::string& endpoint) const {
   return it == flows_.end() ? 0 : it->second.limit;
 }
 
-std::uint32_t Orb::endpoint_inflight(const std::string& endpoint) const {
-  std::lock_guard lock(flow_mutex_);
-  auto it = flows_.find(endpoint);
-  return it == flows_.end() ? 0 : it->second.inflight;
-}
-
-std::size_t Orb::endpoint_deferred(const std::string& endpoint) const {
-  std::lock_guard lock(flow_mutex_);
-  auto it = flows_.find(endpoint);
-  return it == flows_.end() ? 0 : it->second.deferred.size();
-}
-
 // ---------------------------------------------------------------------------
 // Endpoint backoff memory (survives breaker half-open probes)
 
@@ -1187,7 +1174,7 @@ Result<void> Orb::ping(const std::string& endpoint) {
   auto transport = transport_for(endpoint);
   if (!transport) return transport.error();
   auto reply =
-      (*transport)->roundtrip(endpoint, encode_control(MessageType::ping));
+      roundtrip(**transport, endpoint, encode_control(MessageType::ping));
   if (!reply) return reply.error();
   CdrReader r(*reply);
   auto type = decode_frame_header(r);

@@ -340,11 +340,6 @@ class Orb {
   /// ramped back up).
   [[nodiscard]] std::uint32_t endpoint_credit_window(
       const std::string& endpoint) const;
-  /// Calls currently in flight toward / queued for an endpoint.
-  [[nodiscard]] std::uint32_t endpoint_inflight(
-      const std::string& endpoint) const;
-  [[nodiscard]] std::size_t endpoint_deferred(
-      const std::string& endpoint) const;
   /// Consecutive transport-class failures recorded against an endpoint
   /// (reset by any success). Feeds retry backoff so it survives breaker
   /// half-open probes instead of restarting from the base delay.

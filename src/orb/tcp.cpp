@@ -166,8 +166,36 @@ bool RecordWriter::write(int fd, std::uint64_t correlation, BytesView frame) {
   return ok;
 }
 
+void ThreadSet::spawn(std::function<void()> fn) {
+  std::lock_guard lock(mutex_);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (!it->done.load()) {
+      ++it;
+      continue;
+    }
+    it->thread.join();  // it has returned: no wait
+    it = entries_.erase(it);
+  }
+  Entry& entry = entries_.emplace_back();
+  entry.thread = std::thread([&entry, fn = std::move(fn)] {
+    fn();
+    entry.done.store(true);
+  });
+}
+
+void ThreadSet::join_all() {
+  std::list<Entry> all;
+  {
+    std::lock_guard lock(mutex_);
+    all.swap(entries_);
+  }
+  for (auto& entry : all) entry.thread.join();
+}
+
 // ---------------------------------------------------------------------------
 // TcpServer
+
+TcpServer::Connection::~Connection() { ::close(fd); }
 
 TcpServer::~TcpServer() { stop(); }
 
@@ -219,7 +247,7 @@ void TcpServer::stop() {
   {
     // Wake readers blocked in read() on their connection sockets.
     std::lock_guard lock(state_mutex_);
-    for (auto& conn : connections_) {
+    for (const auto& conn : connections_) {
       conn->open.store(false);
       ::shutdown(conn->fd, SHUT_RDWR);
     }
@@ -229,24 +257,11 @@ void TcpServer::stop() {
     if (t.joinable()) t.join();
   }
   pool_.clear();
-  {
-    std::lock_guard lock(state_mutex_);
-    for (auto& t : readers_) {
-      if (t.joinable()) t.join();
-    }
-    readers_.clear();
-    // Close only after every worker and reader is gone, so no thread can
-    // touch a recycled descriptor.
-    for (auto& conn : connections_) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
-    connections_.clear();
-  }
-  {
-    std::lock_guard lock(queue_mutex_);
-    queue_.clear();
-  }
+  readers_.join_all();
+  // Every worker and reader is gone: the queued Jobs hold the last
+  // references, and dropping them closes the remaining sockets.
+  std::lock_guard lock(queue_mutex_);
+  queue_.clear();
 }
 
 void TcpServer::accept_loop() {
@@ -260,11 +275,12 @@ void TcpServer::accept_loop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    std::lock_guard lock(state_mutex_);
-    connections_.push_back(conn);
-    readers_.emplace_back([this, conn] { read_loop(conn); });
+    auto conn = std::make_shared<Connection>(fd);
+    {
+      std::lock_guard lock(state_mutex_);
+      connections_.insert(conn);
+    }
+    readers_.spawn([this, conn = std::move(conn)] { read_loop(conn); });
   }
 }
 
@@ -283,6 +299,8 @@ void TcpServer::read_loop(std::shared_ptr<Connection> conn) {
   // EOF, an i/o error or a bad length prefix: close this connection only.
   conn->open.store(false);
   ::shutdown(conn->fd, SHUT_RDWR);
+  std::lock_guard lock(state_mutex_);
+  connections_.erase(conn);
 }
 
 void TcpServer::dispatch_loop() {
@@ -312,15 +330,19 @@ void TcpServer::dispatch_loop() {
 
 TcpTransport::~TcpTransport() { reset(); }
 
+TcpTransport::Connection::~Connection() { ::close(fd); }
+
 void TcpTransport::fail_connection(const std::shared_ptr<Connection>& conn,
                                    const std::string& why) {
-  if (conn->failed.exchange(true)) return;
-  if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
   {
+    // Evict before flagging: a connection anyone sees failed is already
+    // out of the pool, so a retry after the failure reconnects.
     std::lock_guard lock(pool_mutex_);
     auto it = pool_.find(conn->endpoint);
     if (it != pool_.end() && it->second == conn) pool_.erase(it);
   }
+  if (conn->failed.exchange(true)) return;
+  ::shutdown(conn->fd, SHUT_RDWR);
   std::map<std::uint64_t, ReplyCallback> orphans;
   {
     std::lock_guard lock(conn->pending_mutex);
@@ -331,20 +353,14 @@ void TcpTransport::fail_connection(const std::shared_ptr<Connection>& conn,
 }
 
 void TcpTransport::reset() {
-  std::vector<std::shared_ptr<Connection>> all;
+  std::map<std::string, std::shared_ptr<Connection>> all;
   {
     std::lock_guard lock(pool_mutex_);
-    all.swap(retired_);
-    pool_.clear();
+    all.swap(pool_);
   }
-  for (auto& conn : all) fail_connection(conn, "transport reset");
-  for (auto& conn : all) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
-  }
+  for (auto& [endpoint, conn] : all) fail_connection(conn, "transport reset");
+  // Every reader has had its socket shut down, so each returns promptly.
+  readers_.join_all();
 }
 
 Result<std::shared_ptr<TcpTransport::Connection>> TcpTransport::connection_for(
@@ -358,22 +374,14 @@ Result<std::shared_ptr<TcpTransport::Connection>> TcpTransport::connection_for(
   if (!parsed) return parsed.error();
   auto fd = connect_to(parsed->first, parsed->second);
   if (!fd) return fd.error();
-  auto conn = std::make_shared<Connection>();
-  conn->endpoint = endpoint;
-  conn->fd = *fd;
+  auto conn = std::make_shared<Connection>(endpoint, *fd);
   {
     std::lock_guard lock(pool_mutex_);
     auto [it, inserted] = pool_.emplace(endpoint, conn);
-    if (!inserted) {
-      // Raced with another caller; use theirs and drop ours.
-      ::close(conn->fd);
-      return it->second;
-    }
-    // Every connection ever made is retained here until reset() so its
-    // reader thread has a join point (a reader cannot join itself).
-    retired_.push_back(conn);
+    // Raced with another caller: use theirs; ours closes as it goes.
+    if (!inserted) return it->second;
   }
-  conn->reader = std::thread([this, conn] { reader_loop(conn); });
+  readers_.spawn([this, conn] { reader_loop(conn); });
   return conn;
 }
 
@@ -400,10 +408,21 @@ void TcpTransport::reader_loop(std::shared_ptr<Connection> conn) {
 }
 
 void TcpTransport::submit(const std::string& endpoint, BytesView frame,
-                          ReplyCallback cb) {
+                          ReplyCallback cb, Delivery delivery) {
   auto conn = connection_for(endpoint);
   if (!conn) {
     cb(conn.error());
+    return;
+  }
+  if (delivery == Delivery::oneway) {
+    // Correlation 0: the server dispatches without replying, and nothing
+    // waits behind the send -- a true one-way, complete once written.
+    if (!(*conn)->writer.write((*conn)->fd, 0, frame)) {
+      fail_connection(*conn, "i/o failed on " + endpoint);
+      cb(Error{Errc::unreachable, "i/o failed on " + endpoint});
+      return;
+    }
+    cb(Bytes{});
     return;
   }
   std::uint64_t correlation = 0;
@@ -431,41 +450,6 @@ void TcpTransport::submit(const std::string& endpoint, BytesView frame,
   // including the one just registered -- exactly once.
   if (!(*conn)->writer.write((*conn)->fd, correlation, frame))
     fail_connection(*conn, "i/o failed on " + endpoint);
-}
-
-Result<Bytes> TcpTransport::roundtrip(const std::string& endpoint,
-                                      BytesView frame) {
-  struct Waiter {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    Result<Bytes> reply{Error{Errc::bad_state, "no reply"}};
-  };
-  auto w = std::make_shared<Waiter>();
-  submit(endpoint, frame, [w](Result<Bytes> r) {
-    {
-      std::lock_guard lock(w->mutex);
-      w->reply = std::move(r);
-      w->done = true;
-    }
-    w->cv.notify_one();
-  });
-  std::unique_lock lock(w->mutex);
-  w->cv.wait(lock, [&] { return w->done; });
-  return std::move(w->reply);
-}
-
-Result<void> TcpTransport::send_oneway(const std::string& endpoint,
-                                       BytesView frame) {
-  auto conn = connection_for(endpoint);
-  if (!conn) return conn.error();
-  // Correlation 0: the server dispatches without replying, and nothing
-  // blocks behind the send -- a true one-way.
-  if (!(*conn)->writer.write((*conn)->fd, 0, frame)) {
-    fail_connection(*conn, "i/o failed on " + endpoint);
-    return Error{Errc::unreachable, "i/o failed on " + endpoint};
-  }
-  return {};
 }
 
 }  // namespace clc::orb

@@ -23,17 +23,25 @@
 // small shared worker pool, so pipelined requests on one connection execute
 // *concurrently*, and their replies coalesce in the connection's writer as
 // each completes. The client keeps one pooled connection per endpoint with
-// its own reader thread demultiplexing replies to the pending callbacks;
-// roundtrip() is submit() + wait.
+// its own reader thread demultiplexing replies to the pending callbacks.
+// submit() is the whole client contract: a one-way is a correlation-0
+// record written inline, and a blocking call is the free orb::roundtrip()
+// helper waiting on a submit(). At both ends a socket closes when the last
+// owner of its connection lets go, and a finished reader thread is joined
+// when the next connection spawns its own, so connections that come and
+// go leave neither descriptors nor threads behind.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,6 +103,32 @@ class RecordWriter {
   Bytes sending_;         // the writer's batch in flight, owned by the writer
 };
 
+/// Threads that end on their own -- one per connection reader -- and must
+/// be joined by some other thread, since a thread cannot join itself.
+/// spawn() first joins every thread that has already finished, so a
+/// long-lived owner holds at most the threads still running plus the ones
+/// that ended since its last spawn().
+class ThreadSet {
+ public:
+  ThreadSet() = default;
+  ThreadSet(const ThreadSet&) = delete;
+  ThreadSet& operator=(const ThreadSet&) = delete;
+  ~ThreadSet() { join_all(); }
+
+  void spawn(std::function<void()> fn);
+  /// Join every thread, running or not. The caller must hold no lock that
+  /// a running thread needs to finish.
+  void join_all();
+
+ private:
+  struct Entry {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::mutex mutex_;
+  std::list<Entry> entries_;  // a list: each thread holds its own entry
+};
+
 /// Listening side. Owns the accept thread, per-connection reader threads
 /// and the shared dispatch worker pool.
 class TcpServer {
@@ -120,9 +154,13 @@ class TcpServer {
  private:
   /// One accepted connection: replies from concurrent dispatches coalesce
   /// in `writer`; `open` flips once on teardown so late completions drop
-  /// their reply instead of writing to a dead socket.
+  /// their reply instead of writing to a dead socket. The socket closes
+  /// when the last owner -- the reader or a queued or running Job -- lets
+  /// go, so no worker can write to a recycled descriptor.
   struct Connection {
-    int fd = -1;
+    explicit Connection(int socket) : fd(socket) {}
+    ~Connection();
+    const int fd;
     RecordWriter writer;
     std::atomic<bool> open{true};
   };
@@ -144,11 +182,12 @@ class TcpServer {
   std::atomic<bool> running_{false};
   std::thread accept_thread_;
   std::mutex state_mutex_;
-  std::vector<std::thread> readers_;
-  std::vector<std::shared_ptr<Connection>> connections_;
+  /// Connections whose reader is still running (for stop() to shut down).
+  std::set<std::shared_ptr<Connection>> connections_;  // under state_mutex_
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<Job> queue_;
+  ThreadSet readers_;
   std::vector<std::thread> pool_;
 };
 
@@ -159,27 +198,30 @@ class TcpTransport final : public Transport {
  public:
   ~TcpTransport() override;
 
-  Result<Bytes> roundtrip(const std::string& endpoint,
-                          BytesView frame) override;
-  Result<void> send_oneway(const std::string& endpoint,
-                           BytesView frame) override;
-  void submit(const std::string& endpoint, BytesView frame,
-              ReplyCallback cb) override;
+  /// A request registers its callback under a fresh correlation id and
+  /// completes on the connection's reader thread; a one-way is a
+  /// correlation-0 record that completes once written.
+  void submit(const std::string& endpoint, BytesView frame, ReplyCallback cb,
+              Delivery delivery = Delivery::request_reply) override;
 
   /// Drop pooled connections (e.g. after a peer restarted). Pending
   /// invocations fail with Errc::unreachable.
   void reset();
 
  private:
+  /// One pooled connection. Its socket closes when the last owner -- the
+  /// pool, the reader or a submit in progress -- lets go.
   struct Connection {
-    std::string endpoint;
-    int fd = -1;
+    Connection(std::string ep, int socket)
+        : endpoint(std::move(ep)), fd(socket) {}
+    ~Connection();
+    const std::string endpoint;
+    const int fd;
     RecordWriter writer;
     std::mutex pending_mutex;
     std::map<std::uint64_t, ReplyCallback> pending;
     std::uint64_t next_correlation = 1;  // under pending_mutex
     std::atomic<bool> failed{false};
-    std::thread reader;
   };
 
   Result<std::shared_ptr<Connection>> connection_for(
@@ -192,9 +234,7 @@ class TcpTransport final : public Transport {
 
   std::mutex pool_mutex_;
   std::map<std::string, std::shared_ptr<Connection>> pool_;
-  /// Failed connections parked until reset()/destruction can join their
-  /// reader threads (a reader cannot join itself).
-  std::vector<std::shared_ptr<Connection>> retired_;
+  ThreadSet readers_;
 };
 
 }  // namespace clc::orb

@@ -1,11 +1,37 @@
 #include "orb/transport.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "util/clock.hpp"
 
 namespace clc::orb {
+
+Result<Bytes> roundtrip(Transport& transport, const std::string& endpoint,
+                        BytesView frame) {
+  struct Waiter {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool done = false;
+    Result<Bytes> reply{Error{Errc::bad_state, "no reply"}};
+  };
+  // Shared: the callback may still be notifying when the waiter returns.
+  auto w = std::make_shared<Waiter>();
+  transport.submit(endpoint, frame, [w](Result<Bytes> r) {
+    {
+      std::lock_guard lock(w->mutex);
+      w->reply = std::move(r);
+      w->done = true;
+    }
+    w->cv.notify_one();
+  });
+  std::unique_lock lock(w->mutex);
+  w->cv.wait(lock, [&] { return w->done; });
+  return std::move(w->reply);
+}
 
 LoopbackNetwork::~LoopbackNetwork() { stop_async_workers(); }
 
@@ -69,35 +95,25 @@ void LoopbackNetwork::apply_delay(std::size_t bytes) {
 }
 
 Result<Bytes> LoopbackNetwork::exchange(const std::string& endpoint,
-                                        BytesView frame) {
+                                        BytesView frame, Delivery delivery) {
   auto handler = lookup(endpoint);
   if (!handler) return handler.error();
-  if (should_drop()) return Error{Errc::timeout, "request dropped"};
+  const bool oneway = delivery == Delivery::oneway;
+  if (should_drop()) {
+    if (oneway) return Bytes{};  // silently lost, as on a real network
+    return Error{Errc::timeout, "request dropped"};
+  }
   apply_delay(frame.size());
   Bytes reply = (*handler)(frame);
+  if (oneway) return Bytes{};
   if (should_drop()) return Error{Errc::timeout, "reply dropped"};
   apply_delay(reply.size());
   return reply;
 }
 
-Result<Bytes> LoopbackNetwork::roundtrip(const std::string& endpoint,
-                                         BytesView frame) {
-  return exchange(endpoint, frame);
-}
-
-Result<void> LoopbackNetwork::send_oneway(const std::string& endpoint,
-                                          BytesView frame) {
-  auto handler = lookup(endpoint);
-  if (!handler) return handler.error();
-  if (should_drop()) return {};  // silently lost, as on a real network
-  apply_delay(frame.size());
-  (*handler)(frame);
-  return {};
-}
-
 void LoopbackNetwork::submit(const std::string& endpoint, BytesView frame,
-                             ReplyCallback cb) {
-  {
+                             ReplyCallback cb, Delivery delivery) {
+  if (delivery == Delivery::request_reply) {
     std::lock_guard lock(queue_mutex_);
     if (!workers_.empty() && !stopping_) {
       queue_.push_back(Job{endpoint, Bytes(frame.begin(), frame.end()),
@@ -106,7 +122,8 @@ void LoopbackNetwork::submit(const std::string& endpoint, BytesView frame,
       return;
     }
   }
-  cb(exchange(endpoint, frame));  // no pool: complete inline, deterministic
+  // No pool, or a one-way: complete inline, deterministic.
+  cb(exchange(endpoint, frame, delivery));
 }
 
 void LoopbackNetwork::start_async_workers(std::size_t n) {
@@ -152,7 +169,7 @@ void LoopbackNetwork::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    job.cb(exchange(job.endpoint, job.frame));
+    job.cb(exchange(job.endpoint, job.frame, Delivery::request_reply));
   }
 }
 

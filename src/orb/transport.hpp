@@ -1,23 +1,26 @@
 // Transport abstraction and the in-process loopback network.
 //
 // Transports move opaque framed messages between endpoints. The ORB is the
-// only client: it encodes a request frame and either asks the transport for
-// a blocking round-trip (or a one-way send), or *submits* the frame with a
-// completion callback -- the asynchronous path that lets many requests be
-// in flight on one connection at once (pipelining). Endpoint strings are
-// scheme-prefixed: "loop:<n>" (in-process), "tcp:host:port".
+// only client, and submit() is the whole contract: it ships one encoded
+// frame and invokes a completion callback exactly once -- with the reply
+// frame for a request, or with empty bytes once a one-way has been handed
+// off. Because a request's reply arrives through a callback, many requests
+// can be in flight on one connection at once (pipelining); a blocking
+// round-trip is the free helper roundtrip() layered on top. Endpoint
+// strings are scheme-prefixed: "loop:<n>" (in-process), "tcp:host:port".
 //
 // LoopbackNetwork connects all ORBs of one process and supports the failure
 // and delay injection the tests and benches need: per-link latency,
 // bandwidth modelling, message drop probability, and detached (crashed)
 // endpoints. By default submit() completes inline on the caller thread
 // (deterministic, what the virtual-time test harnesses rely on); a bench or
-// stress test can start a worker pool so submissions genuinely overlap --
+// stress test can start a worker pool so requests genuinely overlap --
 // including their modelled link latency, which is what makes pipelining
-// measurable on a loopback link.
+// measurable on a loopback link. One-ways always run inline.
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -39,30 +42,37 @@ namespace clc::orb {
 /// frame and produces one reply frame (empty for one-ways).
 using MessageHandler = std::function<Bytes(BytesView)>;
 
-/// Completion of one submitted request: the reply frame, or the error that
-/// ended the exchange. Invoked exactly once, possibly inline from submit().
+/// Completion of one submitted frame: the reply frame (empty bytes for a
+/// one-way that was handed off), or the error that ended the exchange.
+/// Invoked exactly once, possibly inline from submit().
 using ReplyCallback = std::function<void(Result<Bytes>)>;
+
+/// Whether a submitted frame expects a reply.
+enum class Delivery : std::uint8_t {
+  request_reply,  // `cb` gets the reply frame, possibly from another thread
+  oneway,         // no reply: `cb` runs before submit() returns
+};
 
 /// Client side of a transport.
 class Transport {
  public:
   virtual ~Transport() = default;
-  /// Send a request frame and wait for the reply frame.
-  virtual Result<Bytes> roundtrip(const std::string& endpoint,
-                                  BytesView frame) = 0;
-  /// Send a frame without expecting a reply.
-  virtual Result<void> send_oneway(const std::string& endpoint,
-                                   BytesView frame) = 0;
-  /// Asynchronous request/reply: ship `frame`, invoke `cb` exactly once
-  /// with the reply or the failure. `frame` need only stay alive for the
-  /// duration of this call -- transports copy it if they keep it longer.
-  /// The default implementation degrades to a synchronous roundtrip
-  /// completing inline, so every transport supports the async API.
+  /// Ship `frame` to `endpoint` and invoke `cb` exactly once. A request
+  /// completes with the reply or the failure. A one-way completes before
+  /// submit() returns: ok (empty bytes) once the frame is handed off --
+  /// or silently lost, as on a real network -- else the hand-off error
+  /// (unreachable endpoint, reset connection). `frame` need only stay
+  /// alive for the duration of this call; transports copy it if they keep
+  /// it longer.
   virtual void submit(const std::string& endpoint, BytesView frame,
-                      ReplyCallback cb) {
-    cb(roundtrip(endpoint, frame));
-  }
+                      ReplyCallback cb,
+                      Delivery delivery = Delivery::request_reply) = 0;
 };
+
+/// Blocking request/reply over any transport: submit() and wait for the
+/// completion.
+Result<Bytes> roundtrip(Transport& transport, const std::string& endpoint,
+                        BytesView frame);
 
 /// In-process "network": endpoints registered with handlers; calls are
 /// synchronous function invocations plus optional injected delay.
@@ -107,18 +117,14 @@ class LoopbackNetwork : public Transport {
   /// Re-register a handler under an existing name (node re-join).
   Result<void> reattach(const std::string& endpoint, MessageHandler handler);
 
-  Result<Bytes> roundtrip(const std::string& endpoint,
-                          BytesView frame) override;
-  Result<void> send_oneway(const std::string& endpoint,
-                           BytesView frame) override;
-  /// Async path. With no worker pool (the default) the exchange runs inline
-  /// on the caller thread -- byte- and order-identical to roundtrip(), which
-  /// keeps the deterministic virtual-time tiers exact. With workers started,
-  /// submissions queue to the pool and their link latency overlaps.
-  void submit(const std::string& endpoint, BytesView frame,
-              ReplyCallback cb) override;
+  /// With no worker pool (the default) the exchange runs inline on the
+  /// caller thread, which keeps the deterministic virtual-time tiers
+  /// exact. With workers started, requests queue to the pool and their
+  /// link latency overlaps; one-ways still run inline.
+  void submit(const std::string& endpoint, BytesView frame, ReplyCallback cb,
+              Delivery delivery = Delivery::request_reply) override;
 
-  /// Start `n` worker threads serving submit() concurrently (idempotent;
+  /// Start `n` worker threads serving requests concurrently (idempotent;
   /// capped at 32). Turns modelled latency into genuinely overlapping
   /// in-flight requests, as on a real network.
   void start_async_workers(std::size_t n);
@@ -153,7 +159,8 @@ class LoopbackNetwork : public Transport {
   Result<MessageHandler> lookup(const std::string& endpoint);
   void apply_delay(std::size_t bytes);
   bool should_drop();
-  Result<Bytes> exchange(const std::string& endpoint, BytesView frame);
+  Result<Bytes> exchange(const std::string& endpoint, BytesView frame,
+                         Delivery delivery);
   void worker_loop();
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;

@@ -383,7 +383,7 @@ TEST(Resilience, BackoffGrowsExponentiallyWithBoundedJitter) {
   }
 }
 
-/// Transport test double: fails a scripted number of round-trips (-1 =
+/// Transport test double: fails a scripted number of submissions (-1 =
 /// forever), then passes through to the wrapped transport.
 class ScriptedTransport final : public orb::Transport {
  public:
@@ -394,18 +394,16 @@ class ScriptedTransport final : public orb::Transport {
   Errc failure = Errc::timeout;
   int calls = 0;
 
-  Result<Bytes> roundtrip(const std::string& endpoint,
-                          BytesView frame) override {
+  void submit(const std::string& endpoint, BytesView frame,
+              orb::ReplyCallback cb,
+              orb::Delivery delivery = orb::Delivery::request_reply) override {
     ++calls;
     if (fail_next != 0) {
       if (fail_next > 0) --fail_next;
-      return Error{failure, "scripted transport failure"};
+      cb(Error{failure, "scripted transport failure"});
+      return;
     }
-    return inner_->roundtrip(endpoint, frame);
-  }
-  Result<void> send_oneway(const std::string& endpoint,
-                           BytesView frame) override {
-    return inner_->send_oneway(endpoint, frame);
+    inner_->submit(endpoint, frame, std::move(cb), delivery);
   }
 
  private:

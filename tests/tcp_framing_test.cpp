@@ -6,7 +6,9 @@
 // reads, many records per read, frames larger than its buffer, empty
 // frames, bad length prefixes) and what the RecordWriter puts on the wire
 // (exact bytes, coalesced replies from concurrent workers, teardown when
-// the peer goes away mid-pipeline). Every blocking step has a timeout, so
+// the peer goes away mid-pipeline), that a one-way is a correlation-0
+// record nobody answers, and that connections which come and go leave no
+// descriptor behind at either end. Every blocking step has a timeout, so
 // a framing bug fails a test instead of hanging it.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -20,6 +22,7 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -178,6 +181,26 @@ Bytes payload_for(std::uint64_t correlation, std::size_t size) {
   return out;
 }
 
+/// Descriptors this process holds open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++n;
+  return n;
+}
+
+/// Waits until the process holds at most `limit` descriptors; false if it
+/// still holds more when the timeout expires.
+bool fds_settle_at_most(std::size_t limit) {
+  const auto until = std::chrono::steady_clock::now() + kWait;
+  while (open_fds() > limit) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 /// A TcpServer whose handler echoes every frame back.
 struct EchoServer {
   TcpServer server;
@@ -295,6 +318,37 @@ TEST(TcpFramingServer, CoalescedRepliesFromFourWorkersStayCorrelated) {
   for (int round = 0; round < 4; ++round)
     expect_echo(s.fd, 1 + round * 1000, 128);
   EXPECT_EQ(echo.handled.load(), 4 * 128);
+}
+
+TEST(TcpFramingServer, OnewayRecordIsServedWithoutAReply) {
+  EchoServer echo;
+  Socket s = connect_raw(echo.server.port());
+  // Correlation 0 marks a one-way: dispatched, never answered.
+  Bytes batch = record(0, payload_for(0, 24));
+  const Bytes request = record(7, payload_for(7, 24));
+  batch.insert(batch.end(), request.begin(), request.end());
+  ASSERT_TRUE(send_all(s.fd, batch));
+  auto reply = recv_record(s.fd);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->correlation, 7u);
+  EXPECT_EQ(reply->frame, payload_for(7, 24));
+  // The next record on the wire answers the next request: nothing for the
+  // one-way slipped in between.
+  expect_echo(s.fd, 8, 1);
+  EXPECT_EQ(echo.handled.load(), 3);
+}
+
+TEST(TcpFramingServer, ConnectCloseCyclesLeaveNoDescriptorBehind) {
+  const std::size_t before = open_fds();
+  EchoServer echo;
+  for (int i = 0; i < 50; ++i) {
+    Socket s = connect_raw(echo.server.port());
+    expect_echo(s.fd, 1, 1);
+  }
+  // Each reader sees its client leave and lets the socket close; only the
+  // listening socket stays open.
+  EXPECT_TRUE(fds_settle_at_most(before + 1))
+      << open_fds() - before << " descriptors above the start";
 }
 
 // ----------------------------------------------------------- TcpTransport
@@ -450,9 +504,64 @@ TEST(TcpFramingTransport, PeerClosingMidPipelineFailsEverySubmit) {
     ASSERT_FALSE(r.ok()) << key;
     EXPECT_EQ(r.error().code, Errc::unreachable) << key;
   }
-  auto after = transport.roundtrip(endpoint, payload_for(9, 8));
+  auto after = roundtrip(transport, endpoint, payload_for(9, 8));
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.error().code, Errc::unreachable);
+}
+
+TEST(TcpFramingTransport, OnewayIsACorrelationZeroRecordCompleteOnceWritten) {
+  RawListener peer;
+  TcpTransport transport;
+  const Bytes request = testing::from_hex(testing::kGoldenRequest);
+  Outcomes out;
+  transport.submit(peer.endpoint(), request, out.at(0), Delivery::oneway);
+  {
+    // Complete before submit() returned, with nothing yet accepted or read.
+    std::lock_guard lock(out.mutex);
+    ASSERT_EQ(out.done.size(), 1u);
+    ASSERT_TRUE(out.done.at(0).ok());
+    EXPECT_TRUE(out.done.at(0)->empty());
+  }
+  transport.submit(peer.endpoint(), request, out.at(1));
+  Socket s = peer.accept();
+  Bytes wire(2 * (12 + request.size()));
+  ASSERT_TRUE(recv_all(s.fd, wire.data(), wire.size()));
+  // The one-way takes no correlation id: the request after it still gets
+  // the connection's first.
+  EXPECT_EQ(testing::to_hex(wire),
+            "00000048" "0000000000000000" + std::string(testing::kGoldenRequest) +
+                "00000048" "0000000000000001" + testing::kGoldenRequest);
+  const Bytes reply = testing::from_hex(testing::kGoldenReply);
+  ASSERT_TRUE(send_all(s.fd, record(1, reply)));
+  ASSERT_TRUE(out.wait_for(2));
+  ASSERT_TRUE(out.done.at(1).ok());
+  EXPECT_EQ(*out.done.at(1), reply);
+}
+
+TEST(TcpFramingTransport, PeerRestartsLeaveNoDescriptorBehind) {
+  const std::size_t before = open_fds();
+  TcpTransport transport;
+  std::uint16_t port = 0;
+  for (int i = 0; i < 20; ++i) {
+    SCOPED_TRACE(i);
+    TcpServer server;
+    auto ep = server.start(
+        [](BytesView frame) { return Bytes(frame.begin(), frame.end()); },
+        port, 1);
+    ASSERT_TRUE(ep.ok()) << ep.error().to_string();
+    port = server.port();
+    // The first call after a restart may still find the dead connection
+    // to the previous server in the pool; it fails, and the retry
+    // reconnects.
+    auto r = roundtrip(transport, *ep, payload_for(i, 8));
+    if (!r.ok()) r = roundtrip(transport, *ep, payload_for(i, 8));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    EXPECT_EQ(*r, payload_for(i, 8));
+  }
+  // Every server is gone; each dead connection's reader has ended and
+  // let its socket close.
+  EXPECT_TRUE(fds_settle_at_most(before))
+      << open_fds() - before << " descriptors above the start";
 }
 
 // ----------------------------------------------------------- RecordReader
